@@ -43,60 +43,75 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
 
     tagSram_.recordTraffic(1, 0); // lookup
 
-    auto complete = [this, arrival, cb = std::move(cb)](
-                        const MemRequest &req, Tick done) {
-        const Tick lat = done - arrival;
-        latency_.sample(static_cast<double>(lat));
-        latencySum_ += static_cast<double>(lat);
-        if (cb)
-            cb(req, done);
-    };
+    std::uint32_t side = kNoSide;
+    if (cb) {
+        if (freeSides_.empty()) {
+            side = static_cast<std::uint32_t>(sides_.size());
+            sides_.emplace_back();
+        } else {
+            side = freeSides_.back();
+            freeSides_.pop_back();
+        }
+        sides_[side] = std::move(cb);
+    }
 
-    TagEntry &entry = tags_[index];
-    if (entry.valid && entry.tag == tag) {
+    std::uint64_t &entry = tags_[index];
+    if ((entry & kValid) && (entry >> 2) == tag) {
         ++hits_;
         if (write) {
-            entry.dirty = true;
+            entry |= kDirty;
             tagSram_.recordTraffic(0, 1);
         }
         // Data lives in the stacked DRAM: hit becomes a 3D access.
+        const Addr target = lineInCache + offset;
         eq_.scheduleAfter(cfg_.tagLatency,
-                          [this, lineInCache, offset, write,
-                           complete]() mutable {
-            dataCtrl_.access(lineInCache + offset, write,
-                             std::move(complete));
+                          [this, target, write, arrival, side] {
+            dataCtrl_.access(target, write, HitDone{this, arrival, side});
         });
         return;
     }
 
     // Miss: evict (writeback if dirty), fetch from main memory, fill.
     ++misses_;
-    if (entry.valid && entry.dirty) {
+    if ((entry & kValid) && (entry & kDirty)) {
         ++writebacks_;
         const Addr victimAddr =
-            (entry.tag * numLines_ + index) * cfg_.lineSize;
+            ((entry >> 2) * numLines_ + index) * cfg_.lineSize;
         eq_.scheduleAfter(cfg_.tagLatency, [this, victimAddr]() {
             mainMem_.access(victimAddr, true);
         });
     }
-    entry.valid = true;
-    entry.tag = tag;
-    entry.dirty = write;
+    entry = tag << 2 | (write ? kDirty : 0) | kValid;
     tagSram_.recordTraffic(0, 1);
 
-    eq_.scheduleAfter(cfg_.tagLatency,
-                      [this, addr, lineInCache, complete]() mutable {
-        mainMem_.access(addr, false,
-                        [this, lineInCache, complete](
-                            const MemRequest &req, Tick done) mutable {
-            // Demand completes when the line arrives from main memory;
-            // the fill write into the 3D DRAM is off the critical path.
-            complete(req, done);
-            ++fills_;
-            eq_.schedule(done, [this, lineInCache]() {
-                dataCtrl_.access(lineInCache, true);
-            });
-        });
+    eq_.scheduleAfter(cfg_.tagLatency, [this, addr, arrival, side] {
+        mainMem_.access(addr, false, MissDone{this, arrival, side});
+    });
+}
+
+void
+DramCache::complete(Tick arrival, std::uint32_t side, const MemRequest &req,
+                    Tick done)
+{
+    const Tick lat = done - arrival;
+    latency_.sample(static_cast<double>(lat));
+    latencySum_ += static_cast<double>(lat);
+    if (side == kNoSide)
+        return;
+    // Release the slot before calling: the callback may re-enter
+    // access() and claim (or grow) the side slots.
+    MemCallback cb = std::move(sides_[side]);
+    freeSides_.push_back(side);
+    cb(req, done);
+}
+
+void
+DramCache::fill(Addr addr, Tick done)
+{
+    ++fills_;
+    const Addr lineInCache = lineIndex(addr) * cfg_.lineSize;
+    eq_.schedule(done, [this, lineInCache]() {
+        dataCtrl_.access(lineInCache, true);
     });
 }
 

@@ -10,9 +10,18 @@
  * victim. Tags are updated synchronously (no MSHR modelling) — the
  * simplification only merges the occasional overlapping miss and does
  * not affect refresh behaviour.
+ *
+ * The per-access path allocates nothing: the completion state handed to
+ * a controller fits MemCallback's inline buffer. A caller-supplied
+ * completion callback (only tests pass one) waits in a recycled side
+ * slot rather than being nested inside that state.
  */
 
 #pragma once
+
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/sram_energy_model.hh"
 #include "ctrl/memory_controller.hh"
@@ -66,6 +75,42 @@ class DramCache : public StatGroup
     double tagEnergy() const { return tagSram_.totalEnergy(); }
     ///@}
 
+    /**
+     * Completion of a hit in the stacked DRAM. Named, like MissDone, so
+     * tests can pin that it fits MemCallback's inline buffer.
+     */
+    struct HitDone
+    {
+        DramCache *cache;
+        Tick arrival;
+        std::uint32_t side; ///< caller callback slot, or kNoSide
+
+        void
+        operator()(const MemRequest &req, Tick done) const
+        {
+            cache->complete(arrival, side, req, done);
+        }
+    };
+
+    /**
+     * Completion of a main-memory fetch: the demand completes, then the
+     * line is filled into the stacked DRAM off the critical path. The
+     * line's cache address is recomputed from req.addr.
+     */
+    struct MissDone
+    {
+        DramCache *cache;
+        Tick arrival;
+        std::uint32_t side;
+
+        void
+        operator()(const MemRequest &req, Tick done) const
+        {
+            cache->complete(arrival, side, req, done);
+            cache->fill(req.addr, done);
+        }
+    };
+
   private:
     static std::uint64_t
     asU64(const Scalar &s)
@@ -73,19 +118,38 @@ class DramCache : public StatGroup
         return static_cast<std::uint64_t>(s.value());
     }
 
-    struct TagEntry
+    /** Tag-entry bits: an entry is tag << 2 | dirty << 1 | valid. */
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+    /** The side slot of a demand whose caller passed no callback. */
+    static constexpr std::uint32_t kNoSide =
+        std::numeric_limits<std::uint32_t>::max();
+
+    std::uint64_t
+    lineIndex(Addr addr) const
     {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+        return (addr / cfg_.lineSize) % numLines_;
+    }
+    /** Record a demand's latency and run its caller callback, if any. */
+    void complete(Tick arrival, std::uint32_t side, const MemRequest &req,
+                  Tick done);
+    /** Fill the line holding `addr` into the stacked DRAM at `done`. */
+    void fill(Addr addr, Tick done);
 
     MemoryController &dataCtrl_;
     MemoryController &mainMem_;
     DramCacheConfig cfg_;
     EventQueue &eq_;
     std::uint64_t numLines_;
-    std::vector<TagEntry> tags_;
+    /**
+     * One packed 8-byte entry per line (see kValid). The 3d64 cache has
+     * 1M lines and every constructed system zeroes the array, so packing
+     * halves that work and its footprint.
+     */
+    std::vector<std::uint64_t> tags_;
+    /** Caller callbacks of in-flight demands, recycled via freeSides_. */
+    std::vector<MemCallback> sides_;
+    std::vector<std::uint32_t> freeSides_;
     SramEnergyModel tagSram_;
 
     Scalar accesses_;

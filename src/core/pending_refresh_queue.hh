@@ -9,12 +9,15 @@
  * interval comfortably covers N row-refresh times. This implementation
  * keeps the bound *observable*: depth and overflow statistics are
  * recorded so the claim is checked by tests rather than assumed.
+ *
+ * Storage is reserved at the nominal capacity up front, so a queue that
+ * holds to the bound never allocates after construction.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "ctrl/mem_request.hh"
 #include "sim/stats.hh"
@@ -54,7 +57,7 @@ class PendingRefreshQueue : public StatGroup
 
   private:
     std::size_t capacity_;
-    std::deque<RefreshRequest> queue_;
+    std::vector<RefreshRequest> queue_;
     std::size_t maxDepth_ = 0;
     Scalar pushed_;
     Scalar overflows_;

@@ -116,25 +116,30 @@ SmartRefreshPolicy::doStep(std::uint64_t generation)
     // never slams all banks with simultaneous refreshes.
     const Tick slot = stagger_->stepInterval() / stagger_->segments();
     std::uint32_t expired = 0;
-    stagger_->step(eq_.now(), [this, &expired, slot](std::uint64_t idx) {
-        const Tick delay = Tick(expired) * slot;
-        ++expired;
-        if (delay == 0) {
-            emitSmartRefresh(idx);
-        } else {
-            SMARTREF_AUDIT_RECORD(
-                audit_, eq_.now(),
-                static_cast<std::uint32_t>((idx / org_.rows) / org_.banks),
-                static_cast<std::uint32_t>((idx / org_.rows) % org_.banks),
-                static_cast<std::uint32_t>(idx % org_.rows),
-                AuditOutcome::Deferred, AuditSource::SmartSchedule);
-            eq_.scheduleAfter(delay,
-                              [this, idx] { emitSmartRefresh(idx); });
-        }
-    });
+    stagger_->step(eq_.now(), WalkVisitor{this, &expired, slot});
     skippedByCounters_ +=
         static_cast<double>(stagger_->segments() - expired);
     scheduleStep();
+}
+
+void
+SmartRefreshPolicy::WalkVisitor::operator()(std::uint64_t idx) const
+{
+    const Tick delay = Tick(*expired) * slot;
+    ++*expired;
+    if (delay == 0) {
+        policy->emitSmartRefresh(idx);
+        return;
+    }
+    [[maybe_unused]] const DramOrganization &org = policy->org_;
+    SMARTREF_AUDIT_RECORD(
+        policy->audit_, policy->eq_.now(),
+        static_cast<std::uint32_t>((idx / org.rows) / org.banks),
+        static_cast<std::uint32_t>((idx / org.rows) % org.banks),
+        static_cast<std::uint32_t>(idx % org.rows),
+        AuditOutcome::Deferred, AuditSource::SmartSchedule);
+    policy->eq_.scheduleAfter(
+        delay, [p = policy, idx] { p->emitSmartRefresh(idx); });
 }
 
 void

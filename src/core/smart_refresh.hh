@@ -166,6 +166,21 @@ class SmartRefreshPolicy : public RefreshPolicy
      *  walk runs under a "walk" scope. */
     void setProfiler(PhaseProfiler *profiler) { profiler_ = profiler; }
 
+    /**
+     * A walk step's expiry handler: the step's first expired counter is
+     * refreshed at once, later ones are spread over the step's sub-slots.
+     * Named so tests can pin that it fits StaggerScheduler::RefreshFn's
+     * inline buffer.
+     */
+    struct WalkVisitor
+    {
+        SmartRefreshPolicy *policy;
+        std::uint32_t *expired; ///< expirations so far in this step
+        Tick slot;              ///< sub-slot spacing
+
+        void operator()(std::uint64_t idx) const;
+    };
+
   private:
     std::uint64_t
     counterIndex(std::uint32_t rank, std::uint32_t bank,

@@ -40,7 +40,7 @@ StaggerScheduler::initialiseStaggered()
 }
 
 void
-StaggerScheduler::step(Tick now, const RefreshFn &refresh)
+StaggerScheduler::step(Tick now, RefreshFn &&refresh)
 {
     (void)now; // only read when tracing is compiled in
     std::uint32_t expired = 0;

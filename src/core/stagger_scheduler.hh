@@ -27,9 +27,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "core/counter_array.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace smartref {
@@ -38,8 +39,12 @@ namespace smartref {
 class StaggerScheduler
 {
   public:
-    /** Invoked when a touched counter has expired (refresh due). */
-    using RefreshFn = std::function<void(std::uint64_t counterIndex)>;
+    /**
+     * Invoked when a touched counter has expired (refresh due). Built
+     * per step from the caller's lambda; captures up to 24 bytes (the
+     * Smart Refresh walk's) stay inline.
+     */
+    using RefreshFn = InlineFunction<void(std::uint64_t counterIndex), 24>;
 
     /**
      * @param counters  the array to walk (not owned)
@@ -74,13 +79,13 @@ class StaggerScheduler
      * Execute one step: touch one counter in each segment, invoking
      * `refresh` for every expired one (at most `segments` calls).
      */
-    void step(const RefreshFn &refresh) { step(0, refresh); }
+    void step(RefreshFn &&refresh) { step(0, std::move(refresh)); }
 
     /**
      * As above, with the current simulated time so the walk step can be
      * traced (category `counter`).
      */
-    void step(Tick now, const RefreshFn &refresh);
+    void step(Tick now, RefreshFn &&refresh);
 
     /** Number of steps executed so far. */
     std::uint64_t stepsExecuted() const { return steps_; }

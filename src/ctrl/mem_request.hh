@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace smartref {
@@ -22,8 +22,13 @@ struct MemRequest
     std::uint64_t id = 0;
 };
 
-/** Completion callback: invoked when the data burst finishes. */
-using MemCallback = std::function<void(const MemRequest &, Tick completion)>;
+/**
+ * Completion callback: invoked when the data burst finishes. Move-only;
+ * captures of up to 24 bytes (the 3D cache's completion state) are held
+ * inline, so a completion allocates nothing.
+ */
+using MemCallback =
+    InlineFunction<void(const MemRequest &, Tick completion), 24>;
 
 /** A refresh operation requested by a refresh policy. */
 struct RefreshRequest

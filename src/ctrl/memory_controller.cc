@@ -10,6 +10,10 @@
 
 namespace smartref {
 
+static_assert(sizeof(MemoryController::CompletionEvent) <=
+                  EventQueue::Callback::kInlineCapacity,
+              "demand completions must not heap-allocate");
+
 MemoryController::MemoryController(DramModule &dram, EventQueue &eq,
                                    const ControllerConfig &cfg,
                                    StatGroup *parent)
@@ -192,7 +196,7 @@ void
 MemoryController::forceHeld(std::size_t engineIdx)
 {
     Engine &engine = engines_[engineIdx];
-    std::vector<Item> expired;
+    expired_.clear();
     while (!engine.heldRefresh.empty() &&
            engine.heldRefresh.front().ref.created + cfg_.darpDeferWindow <=
                eq_.now()) {
@@ -202,14 +206,15 @@ MemoryController::forceHeld(std::size_t engineIdx)
         if (maybeCancelHeld(item))
             continue;
         item.darpOutcome = static_cast<int>(AuditOutcome::DarpForced);
-        expired.push_back(std::move(item));
+        expired_.push_back(std::move(item));
     }
-    if (expired.empty())
+    if (expired_.empty())
         return;
     noteEngineActivated(engine);
     // Jump ahead of queued demand: these refreshes are out of slack.
-    for (auto it = expired.rbegin(); it != expired.rend(); ++it)
+    for (auto it = expired_.rbegin(); it != expired_.rend(); ++it)
         engine.queue.push_front(std::move(*it));
+    expired_.clear();
     kick(engineIdx);
 }
 
@@ -264,19 +269,19 @@ MemoryController::kick(std::size_t engineIdx)
         return;
     engine.busy = true;
     ++engine.activityGen;
-    Item item = std::move(engine.queue.front());
+    engine.cur = std::move(engine.queue.front());
     engine.queue.pop_front();
-    startItem(engineIdx, std::move(item));
+    startItem(engineIdx);
 }
 
 void
-MemoryController::startItem(std::size_t engineIdx, Item item)
+MemoryController::startItem(std::size_t engineIdx)
 {
     PhaseScope issueScope(profiler_, "issue");
-    if (item.kind == Item::Kind::Demand)
-        runDemand(engineIdx, std::move(item));
+    if (engines_[engineIdx].cur.kind == Item::Kind::Demand)
+        runDemand(engineIdx);
     else
-        runRefresh(engineIdx, std::move(item));
+        runRefresh(engineIdx);
 }
 
 void
@@ -325,10 +330,38 @@ MemoryController::armIdlePrecharge(std::size_t engineIdx)
         engineIdx % dram_.config().org.banks);
     if (!dram_.isBankOpen(rank, bank))
         return;
-    const std::uint64_t gen = engine.activityGen;
-    eq_.scheduleAfter(cfg_.idlePrechargeAfter, [this, engineIdx, gen] {
-        tryIdlePrecharge(engineIdx, gen);
-    });
+    // Every arm takes the sequence number a timer scheduled now would
+    // take, so whichever event finally serves this arm runs at exactly
+    // that (tick, priority, seq) position. Only the newest arm can ever
+    // act (each later arm follows a kick, which bumps activityGen), so
+    // one outstanding event per bank suffices: if one is pending, it
+    // re-inserts itself for this arm when it fires.
+    engine.idleDeadline = eq_.now() + cfg_.idlePrechargeAfter;
+    engine.idleGen = engine.activityGen;
+    engine.idleSeq = eq_.reserveSeq();
+    if (engine.idleTimerPending)
+        return;
+    engine.idleTimerPending = true;
+    engine.idleTimerSeq = engine.idleSeq;
+    eq_.scheduleReserved(engine.idleDeadline, engine.idleSeq,
+                         [this, engineIdx] { onIdleTimer(engineIdx); });
+}
+
+void
+MemoryController::onIdleTimer(std::size_t engineIdx)
+{
+    Engine &engine = engines_[engineIdx];
+    if (engine.idleTimerSeq != engine.idleSeq) {
+        // Re-armed since this event was scheduled: move to the newest
+        // arm's slot (never earlier than now: deadlines only grow, and
+        // a same-tick re-arm carries a later sequence number).
+        engine.idleTimerSeq = engine.idleSeq;
+        eq_.scheduleReserved(engine.idleDeadline, engine.idleSeq,
+                             [this, engineIdx] { onIdleTimer(engineIdx); });
+        return;
+    }
+    engine.idleTimerPending = false;
+    tryIdlePrecharge(engineIdx, engine.idleGen);
 }
 
 void
@@ -348,45 +381,93 @@ MemoryController::tryIdlePrecharge(std::size_t engineIdx,
     noteEngineActivated(engine);
     engine.busy = true;
     ++engine.activityGen;
-    const std::uint32_t row = dram_.openRow(rank, bank);
+    engine.closingRow = dram_.openRow(rank, bank);
     ++idlePrecharges_;
-    DramCommand pre{DramCommandType::Precharge, rank, bank, 0, 0};
-    issueWhenReady(pre,
-                   [this, engineIdx, rank, bank, row](Tick, bool,
-                                                      std::uint32_t) {
-        if (policy_)
-            policy_->onRowClosed(rank, bank, row);
-        finishEngine(engineIdx);
-    });
+    issueWhenReady(engineIdx,
+                   DramCommand{DramCommandType::Precharge, rank, bank, 0, 0},
+                   Step::IdlePre);
 }
 
 void
-MemoryController::issueWhenReady(DramCommand cmd, IssueCallback then)
+MemoryController::issueWhenReady(std::size_t engineIdx, DramCommand cmd,
+                                 Step step)
 {
     const Tick earliest = dram_.earliestIssue(cmd);
     if (earliest <= eq_.now()) {
         // Observe the bank's row state immediately before the device
         // accepts the command: refreshes (and precharges) implicitly
-        // close the open page, and the callback may need to know which
-        // row was written back.
+        // close the open page, and onIssued may need to know which row
+        // was written back.
         const bool rowWasOpen = dram_.isBankOpen(cmd.rank, cmd.bank);
         const std::uint32_t openRow =
             rowWasOpen ? dram_.openRow(cmd.rank, cmd.bank) : 0;
         const Tick done = dram_.issue(cmd);
-        then(done, rowWasOpen, openRow);
+        onIssued(engineIdx, step, done, rowWasOpen, openRow);
         return;
     }
-    eq_.schedule(earliest, [this, cmd,
-                            then = std::move(then)]() mutable {
+    eq_.schedule(earliest, [this, engineIdx, cmd, step] {
         // Constraints may have moved while we waited; re-check.
-        issueWhenReady(cmd, std::move(then));
+        issueWhenReady(engineIdx, cmd, step);
     });
 }
 
 void
-MemoryController::runDemand(std::size_t engineIdx, Item item)
+MemoryController::onIssued(std::size_t engineIdx, Step step, Tick done,
+                           bool rowWasOpen, std::uint32_t openRow)
 {
-    const DramCoord &c = item.coord;
+    Engine &engine = engines_[engineIdx];
+    const DramCoord &c = engine.cur.coord;
+    switch (step) {
+      case Step::DemandPre:
+        if (policy_)
+            policy_->onRowClosed(c.rank, c.bank, engine.closingRow);
+        issueWhenReady(engineIdx,
+                       DramCommand{DramCommandType::Activate, c.rank,
+                                   c.bank, c.row, 0},
+                       Step::DemandAct);
+        return;
+      case Step::DemandAct:
+        if (policy_)
+            policy_->onRowActivated(c.rank, c.bank, c.row);
+        issueColumn(engineIdx);
+        return;
+      case Step::DemandCol: {
+        Item &item = engine.cur;
+        engine.lastWasWrite = item.req.write;
+        const Tick lat = done - item.req.arrival;
+        latency_.sample(static_cast<double>(lat));
+        latencySum_ += static_cast<double>(lat);
+        if (item.cb) {
+            // Deliver the completion at the tick the data arrives.
+            eq_.schedule(done,
+                         CompletionEvent{item.req, std::move(item.cb), done});
+        }
+        // The engine frees as soon as the column command has issued; the
+        // device enforces all remaining burst/recovery timing.
+        finishEngine(engineIdx);
+        return;
+      }
+      case Step::Refresh:
+        refreshIssued(engineIdx, rowWasOpen, openRow);
+        return;
+      case Step::IdlePre: {
+        const std::uint32_t rank = static_cast<std::uint32_t>(
+            engineIdx / dram_.config().org.banks);
+        const std::uint32_t bank = static_cast<std::uint32_t>(
+            engineIdx % dram_.config().org.banks);
+        if (policy_)
+            policy_->onRowClosed(rank, bank, engine.closingRow);
+        finishEngine(engineIdx);
+        return;
+      }
+    }
+}
+
+void
+MemoryController::runDemand(std::size_t engineIdx)
+{
+    Engine &engine = engines_[engineIdx];
+    const DramCoord &c = engine.cur.coord;
 
     // Attribute refresh-induced demand blocking at the tick the demand
     // reaches the bank scheduler: any in-flight refresh state (bank
@@ -403,32 +484,18 @@ MemoryController::runDemand(std::size_t engineIdx, Item item)
             ++rowHits_;
             SMARTREF_TRACE(TraceCategory::RowBuffer, eq_.now(), "rowHit",
                            c.rank, c.bank, c.row);
-            issueColumn(engineIdx, std::move(item));
+            issueColumn(engineIdx);
             return;
         }
         // Row conflict: close the open page, then activate ours.
         ++rowConflicts_;
         SMARTREF_TRACE(TraceCategory::RowBuffer, eq_.now(), "rowConflict",
                        c.rank, c.bank, c.row);
-        const std::uint32_t victim = dram_.openRow(c.rank, c.bank);
-        DramCommand pre{DramCommandType::Precharge, c.rank, c.bank, 0, 0};
-        issueWhenReady(pre, [this, engineIdx, victim,
-                             item = std::move(item)](
-                                Tick, bool, std::uint32_t) mutable {
-            const DramCoord &cc = item.coord;
-            if (policy_)
-                policy_->onRowClosed(cc.rank, cc.bank, victim);
-            DramCommand act{DramCommandType::Activate, cc.rank, cc.bank,
-                            cc.row, 0};
-            issueWhenReady(act,
-                           [this, engineIdx, item = std::move(item)](
-                               Tick, bool, std::uint32_t) mutable {
-                const DramCoord &c3 = item.coord;
-                if (policy_)
-                    policy_->onRowActivated(c3.rank, c3.bank, c3.row);
-                issueColumn(engineIdx, std::move(item));
-            });
-        });
+        engine.closingRow = dram_.openRow(c.rank, c.bank);
+        issueWhenReady(engineIdx,
+                       DramCommand{DramCommandType::Precharge, c.rank,
+                                   c.bank, 0, 0},
+                       Step::DemandPre);
         return;
     }
 
@@ -436,98 +503,86 @@ MemoryController::runDemand(std::size_t engineIdx, Item item)
     ++rowMisses_;
     SMARTREF_TRACE(TraceCategory::RowBuffer, eq_.now(), "rowMiss", c.rank,
                    c.bank, c.row);
-    DramCommand act{DramCommandType::Activate, c.rank, c.bank, c.row, 0};
-    issueWhenReady(act, [this, engineIdx, item = std::move(item)](
-                            Tick, bool, std::uint32_t) mutable {
-        const DramCoord &cc = item.coord;
-        if (policy_)
-            policy_->onRowActivated(cc.rank, cc.bank, cc.row);
-        issueColumn(engineIdx, std::move(item));
-    });
+    issueWhenReady(engineIdx,
+                   DramCommand{DramCommandType::Activate, c.rank, c.bank,
+                               c.row, 0},
+                   Step::DemandAct);
 }
 
 void
-MemoryController::issueColumn(std::size_t engineIdx, Item item)
+MemoryController::issueColumn(std::size_t engineIdx)
 {
+    const Item &item = engines_[engineIdx].cur;
     const DramCoord &c = item.coord;
-    DramCommand col{item.req.write ? DramCommandType::Write
-                                   : DramCommandType::Read,
-                    c.rank, c.bank, c.row, c.column};
-    issueWhenReady(col, [this, engineIdx, item = std::move(item)](
-                            Tick done, bool, std::uint32_t) mutable {
-        engines_[engineIdx].lastWasWrite = item.req.write;
-        const Tick lat = done - item.req.arrival;
-        latency_.sample(static_cast<double>(lat));
-        latencySum_ += static_cast<double>(lat);
-        if (item.cb) {
-            // Deliver the completion at the tick the data arrives.
-            eq_.schedule(done, [req = item.req, cb = std::move(item.cb),
-                                done]() { cb(req, done); });
-        }
-        // The engine frees as soon as the column command has issued; the
-        // device enforces all remaining burst/recovery timing.
-        finishEngine(engineIdx);
-    });
+    issueWhenReady(engineIdx,
+                   DramCommand{item.req.write ? DramCommandType::Write
+                                              : DramCommandType::Read,
+                               c.rank, c.bank, c.row, c.column},
+                   Step::DemandCol);
 }
 
 void
-MemoryController::runRefresh(std::size_t engineIdx, Item item)
+MemoryController::runRefresh(std::size_t engineIdx)
 {
-    const RefreshRequest req = item.ref;
-    const int darpOutcome = item.darpOutcome;
+    const RefreshRequest &req = engines_[engineIdx].cur.ref;
     // All refreshes carry a resolved (bank, row); the cbr flag only
-    // changes whether an address was posted on the bus (energy).
-    DramCommand cmd{DramCommandType::RefreshRasOnly, req.rank, req.bank,
-                    req.row, 0};
+    // changes whether an address was posted on the bus (energy). The
+    // refresh implicitly closes an open page (its charge is restored);
+    // issueWhenReady observes the pre-issue row state and hands it to
+    // refreshIssued, so access-aware policies learn which row was
+    // written back without any shared out-of-band state.
+    issueWhenReady(engineIdx,
+                   DramCommand{DramCommandType::RefreshRasOnly, req.rank,
+                               req.bank, req.row, 0},
+                   Step::Refresh);
+}
 
-    // The refresh implicitly closes an open page (its charge is
-    // restored); issueWhenReady observes the pre-issue row state and
-    // hands it to the callback, so access-aware policies learn which
-    // row was written back without any shared out-of-band state.
-    issueWhenReady(cmd, [this, engineIdx, req, darpOutcome](
-                            Tick, bool rowWasOpen,
-                            std::uint32_t openRow) {
-        PhaseScope drainScope(profiler_, "drain");
-        SMARTREF_ASSERT(refreshBacklog_ > 0, "refresh backlog underflow");
-        --refreshBacklog_;
-        maxRefreshDelay_ = std::max(maxRefreshDelay_,
-                                    eq_.now() - req.created);
-        SMARTREF_TRACE(TraceCategory::Refresh, eq_.now(),
-                       req.cbr ? "refreshIssuedCbr" : "refreshIssuedRas",
-                       req.rank, req.bank, req.row,
-                       static_cast<double>(eq_.now() - req.created));
-        SMARTREF_TRACE_COUNTER(TraceCategory::Queue, eq_.now(),
-                               "refreshBacklog",
-                               static_cast<double>(refreshBacklog_));
-        if (heatmap_)
-            heatmap_->recordRefresh(req.rank, req.bank);
-        // In subarray modes a refresh only closes the page when it
-        // lands in the open row's own subarray; the device applied the
-        // same predicate, so the post-issue bank state is the truth.
-        const bool pageSurvived =
-            rowWasOpen && dram_.isBankOpen(req.rank, req.bank);
-        // The deadline-driven CBR fallback path is what the policy could
-        // not avoid; an addressed refresh is a decision the policy made;
-        // DARP dispatch decisions and subarray-parallel refreshes carry
-        // their own outcomes.
-        AuditOutcome outcome = req.cbr ? AuditOutcome::ForcedDeadline
-                                       : AuditOutcome::Issued;
-        AuditSource source = AuditSource::Controller;
-        if (darpOutcome >= 0) {
-            outcome = static_cast<AuditOutcome>(darpOutcome);
-            source = AuditSource::Darp;
-        } else if (pageSurvived) {
-            outcome = AuditOutcome::SarpParallel;
-        }
-        SMARTREF_AUDIT_RECORD(audit_, eq_.now(), req.rank, req.bank,
-                              req.row, outcome, source);
-        if (policy_) {
-            if (rowWasOpen && !pageSurvived)
-                policy_->onRowClosed(req.rank, req.bank, openRow);
-            policy_->onRefreshIssued(req);
-        }
-        finishEngine(engineIdx);
-    });
+void
+MemoryController::refreshIssued(std::size_t engineIdx, bool rowWasOpen,
+                                std::uint32_t openRow)
+{
+    // Copy out of the engine: finishEngine may start the next item.
+    const RefreshRequest req = engines_[engineIdx].cur.ref;
+    const int darpOutcome = engines_[engineIdx].cur.darpOutcome;
+    PhaseScope drainScope(profiler_, "drain");
+    SMARTREF_ASSERT(refreshBacklog_ > 0, "refresh backlog underflow");
+    --refreshBacklog_;
+    maxRefreshDelay_ = std::max(maxRefreshDelay_, eq_.now() - req.created);
+    SMARTREF_TRACE(TraceCategory::Refresh, eq_.now(),
+                   req.cbr ? "refreshIssuedCbr" : "refreshIssuedRas",
+                   req.rank, req.bank, req.row,
+                   static_cast<double>(eq_.now() - req.created));
+    SMARTREF_TRACE_COUNTER(TraceCategory::Queue, eq_.now(),
+                           "refreshBacklog",
+                           static_cast<double>(refreshBacklog_));
+    if (heatmap_)
+        heatmap_->recordRefresh(req.rank, req.bank);
+    // In subarray modes a refresh only closes the page when it lands in
+    // the open row's own subarray; the device applied the same
+    // predicate, so the post-issue bank state is the truth.
+    const bool pageSurvived =
+        rowWasOpen && dram_.isBankOpen(req.rank, req.bank);
+    // The deadline-driven CBR fallback path is what the policy could not
+    // avoid; an addressed refresh is a decision the policy made; DARP
+    // dispatch decisions and subarray-parallel refreshes carry their own
+    // outcomes.
+    AuditOutcome outcome =
+        req.cbr ? AuditOutcome::ForcedDeadline : AuditOutcome::Issued;
+    AuditSource source = AuditSource::Controller;
+    if (darpOutcome >= 0) {
+        outcome = static_cast<AuditOutcome>(darpOutcome);
+        source = AuditSource::Darp;
+    } else if (pageSurvived) {
+        outcome = AuditOutcome::SarpParallel;
+    }
+    SMARTREF_AUDIT_RECORD(audit_, eq_.now(), req.rank, req.bank, req.row,
+                          outcome, source);
+    if (policy_) {
+        if (rowWasOpen && !pageSurvived)
+            policy_->onRowClosed(req.rank, req.bank, openRow);
+        policy_->onRefreshIssued(req);
+    }
+    finishEngine(engineIdx);
 }
 
 } // namespace smartref

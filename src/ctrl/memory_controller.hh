@@ -10,12 +10,18 @@
  * occupy the engine for one refresh command. Engines run concurrently;
  * the device model enforces all shared-resource timing (data bus, tRRD),
  * so engines simply retry until their command becomes legal.
+ *
+ * An engine is a small state machine that allocates nothing per command:
+ * it owns its in-flight item, each issued command names the Step it
+ * completes, and one switch (onIssued) advances the engine. A retry
+ * waiting for a command to become legal captures only (engine, command,
+ * step). The adaptive-page idle timer is one outstanding event per bank,
+ * re-armed lazily (see armIdlePrecharge).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "ctrl/address_mapper.hh"
@@ -24,6 +30,7 @@
 #include "ctrl/refresh_policy.hh"
 #include "dram/dram_module.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 
 namespace smartref {
@@ -152,6 +159,20 @@ class MemoryController : public StatGroup
     /** Drain outstanding work: returns true when all queues are empty. */
     bool idle() const;
 
+    /**
+     * The event that delivers a demand completion at the tick its data
+     * burst ends. Named so tests can pin that it fits the event queue's
+     * inline capacity.
+     */
+    struct CompletionEvent
+    {
+        MemRequest req;
+        MemCallback cb;
+        Tick done;
+
+        void operator()() { cb(req, done); }
+    };
+
   private:
     static std::uint64_t
     asU64(const Scalar &s)
@@ -176,15 +197,37 @@ class MemoryController : public StatGroup
         int darpOutcome = -1;
     };
 
+    /** What an issued command completes; onIssued dispatches on it. */
+    enum class Step : std::uint8_t {
+        DemandPre, ///< conflict precharge; ACT follows
+        DemandAct, ///< activate; the column burst follows
+        DemandCol, ///< column burst; the demand completes
+        Refresh,   ///< the refresh command itself
+        IdlePre,   ///< adaptive-page precharge of an idle bank
+    };
+
     /** FIFO engine for one (rank, bank). */
     struct Engine
     {
-        std::deque<Item> queue;
+        RingQueue<Item> queue;
+        /** The item in flight while `busy` (unused by IdlePre). */
+        Item cur;
+        /** Row a pending DemandPre / IdlePre closes. */
+        std::uint32_t closingRow = 0;
         bool busy = false;
-        /** Bumped on any activity; stale idle-precharge checks no-op. */
+        /** Bumped on any activity; stale idle timers no-op. */
         std::uint64_t activityGen = 0;
+        /** @name Idle-precharge timer: the newest arm. */
+        ///@{
+        Tick idleDeadline = 0;
+        std::uint64_t idleGen = 0;
+        std::uint64_t idleSeq = 0;
+        ///@}
+        /** Sequence number of the outstanding timer event, if any. */
+        std::uint64_t idleTimerSeq = 0;
+        bool idleTimerPending = false;
         /** DARP: refreshes held back until the bank goes demand-idle. */
-        std::deque<Item> heldRefresh;
+        RingQueue<Item> heldRefresh;
         /** DARP: was the last column burst from this bank a write? */
         bool lastWasWrite = false;
         /** DARP: per-bank demand inter-arrival predictor. */
@@ -209,31 +252,41 @@ class MemoryController : public StatGroup
      * @return true when it was cancelled (caller drops the item)
      */
     bool maybeCancelHeld(const Item &item);
-    void startItem(std::size_t engineIdx, Item item);
-    void runDemand(std::size_t engineIdx, Item item);
-    void issueColumn(std::size_t engineIdx, Item item);
-    void runRefresh(std::size_t engineIdx, Item item);
+    /** Start the engine's `cur` item. */
+    void startItem(std::size_t engineIdx);
+    void runDemand(std::size_t engineIdx);
+    void issueColumn(std::size_t engineIdx);
+    void runRefresh(std::size_t engineIdx);
+    /** The refresh command issued: account for it and notify. */
+    void refreshIssued(std::size_t engineIdx, bool rowWasOpen,
+                       std::uint32_t openRow);
     void finishEngine(std::size_t engineIdx);
+    /**
+     * Record an idle-precharge deadline for the bank. The timer event is
+     * scheduled only when none is outstanding; a newer arm is picked up
+     * when the outstanding one fires (onIdleTimer).
+     */
     void armIdlePrecharge(std::size_t engineIdx);
+    void onIdleTimer(std::size_t engineIdx);
     void tryIdlePrecharge(std::size_t engineIdx, std::uint64_t gen);
     /** Bump activeEngines_ if `engine` is about to gain its first work. */
     void noteEngineActivated(const Engine &engine);
 
     /**
-     * Invoked once `cmd` has issued: completion tick plus the bank's
+     * Issue `cmd` as soon as it becomes legal, then advance the engine
+     * through onIssued. Retries via the event queue if constraints move
+     * while waiting.
+     */
+    void issueWhenReady(std::size_t engineIdx, DramCommand cmd, Step step);
+
+    /**
+     * `cmd` for `step` has issued: completion tick plus the bank's
      * open-row state observed immediately *before* the device accepted
      * the command (refreshes implicitly close an open page, and
      * access-aware policies must learn which row was written back).
      */
-    using IssueCallback =
-        std::function<void(Tick done, bool rowWasOpen,
-                           std::uint32_t openRow)>;
-
-    /**
-     * Issue `cmd` as soon as it becomes legal, then invoke `then`.
-     * Retries via the event queue if constraints move while waiting.
-     */
-    void issueWhenReady(DramCommand cmd, IssueCallback then);
+    void onIssued(std::size_t engineIdx, Step step, Tick done,
+                  bool rowWasOpen, std::uint32_t openRow);
 
     DramModule &dram_;
     EventQueue &eq_;
@@ -265,6 +318,8 @@ class MemoryController : public StatGroup
     Tick maxRefreshDelay_ = 0;
     /** Held refreshes across all engines (DARP); part of idle(). */
     std::size_t heldRefreshes_ = 0;
+    /** forceHeld's scratch list; keeps its capacity between calls. */
+    std::vector<Item> expired_;
     /** Whether the attached module's parallelism mode enables DARP. */
     bool darpEnabled_ = false;
 

@@ -41,6 +41,18 @@ EventQueue::scheduleSlot(Tick when, std::uint32_t slot,
 }
 
 void
+EventQueue::reservedSlot(Tick when, std::uint64_t seq, std::uint32_t slot,
+                         EventPriority prio)
+{
+    SMARTREF_ASSERT(when >= now_, "scheduling into the past: ", when,
+                    " < now ", now_);
+    SMARTREF_ASSERT(seq < seq_, "sequence number ", seq,
+                    " was never reserved");
+    ++pendingCount_;
+    insert(Node{when, seq, static_cast<std::int32_t>(prio), slot});
+}
+
+void
 EventQueue::burstSlot(Tick first, Tick interval, std::uint64_t count,
                       std::uint32_t slot, EventPriority prio)
 {

@@ -55,19 +55,23 @@ enum class EventPriority : int {
  * The global event queue for one simulation.
  *
  * Callbacks are move-only InlineFunctions; components capture `this`.
- * Events cannot be descheduled (none of this codebase needs it); a
- * cancelled event pattern can be implemented by the callback checking a
- * generation counter.
+ * Events cannot be descheduled. A component that keeps re-arming the
+ * same timeout should hold at most one event for it: record each arm's
+ * deadline together with a sequence number from reserveSeq(), and when
+ * the outstanding event fires with a newer arm on record, re-insert it
+ * with scheduleReserved(). The surviving event then runs at exactly the
+ * (tick, priority, sequence) position an event scheduled at the newest
+ * arm would have had (see MemoryController's idle-precharge timer).
  */
 class EventQueue
 {
   public:
     /**
      * Event callback. The inline capacity is sized so that the largest
-     * capture in the tree (a demand completion: MemRequest + a
-     * std::function completion callback + a tick) stays allocation-free;
-     * oversize captures fall back to one heap allocation (see
-     * InlineFunction).
+     * capture in the tree (MemoryController::CompletionEvent: a
+     * MemRequest, an inline MemCallback and a tick, 96 bytes with its
+     * 16-byte alignment) stays allocation-free; oversize captures fall
+     * back to one heap allocation (see InlineFunction).
      */
     using Callback = InlineFunction<void(), 96>;
 
@@ -101,6 +105,29 @@ class EventQueue
                   EventPriority prio = EventPriority::Default)
     {
         schedule(now_ + delta, std::forward<F>(f), prio);
+    }
+
+    /**
+     * Take the next sequence number without scheduling anything. Events
+     * scheduled afterwards order behind it within a (tick, priority);
+     * events scheduled before it order ahead.
+     */
+    std::uint64_t reserveSeq() { return seq_++; }
+
+    /**
+     * Schedule a callback at `when` with a sequence number previously
+     * taken from reserveSeq(): it runs exactly where an event scheduled
+     * at the moment of the reservation would have run. `when` must not
+     * be in the past, and among events already executed at `when` none
+     * may follow `seq` (a reservation is only ever used once, for a
+     * tick no earlier than the one it was taken at).
+     */
+    template <typename F>
+    void
+    scheduleReserved(Tick when, std::uint64_t seq, F &&f,
+                     EventPriority prio = EventPriority::Default)
+    {
+        reservedSlot(when, seq, allocSlotFor(std::forward<F>(f)), prio);
     }
 
     /**
@@ -198,6 +225,8 @@ class EventQueue
     }
 
     void scheduleSlot(Tick when, std::uint32_t slot, EventPriority prio);
+    void reservedSlot(Tick when, std::uint64_t seq, std::uint32_t slot,
+                      EventPriority prio);
     void burstSlot(Tick first, Tick interval, std::uint64_t count,
                    std::uint32_t slot, EventPriority prio);
     void insert(Node n);

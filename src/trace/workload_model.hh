@@ -28,10 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -62,7 +62,7 @@ class WorkloadModel : public StatGroup
 {
   public:
     /** Receives each generated access. */
-    using Sink = std::function<void(Addr addr, bool write)>;
+    using Sink = InlineFunction<void(Addr addr, bool write), 24>;
 
     /**
      * @param rowBytes row span of the target module (address granularity

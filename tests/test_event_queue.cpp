@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/system.hh"
@@ -303,6 +305,150 @@ TEST(EventQueue, BurstCallbackCanScheduleReentrantly)
     eq.run();
     EXPECT_EQ(burstFires, 200);
     EXPECT_EQ(extraFires, 66 * 3);
+}
+
+TEST(EventQueue, ReservedEventRunsBetweenItsNeighbours)
+{
+    // A reserved sequence number orders the event after same-tick events
+    // scheduled before the reservation and before those scheduled after
+    // it, whenever the event itself is finally scheduled.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&] { order.push_back(1); });
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(5, [&] { order.push_back(3); });
+    eq.schedule(5, [&] { order.push_back(4); });
+    eq.scheduleReserved(5, seq, [&] { order.push_back(2); });
+    EXPECT_EQ(eq.pending(), 4u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, ReservedEventTakesTheFastPathBuffer)
+{
+    // Reserved before the only other pending event, the reserved event
+    // undercuts it in the one-entry "next" buffer and demotes it.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(10, [&] { order.push_back(2); });
+    eq.schedule(20, [&] { order.push_back(3); });
+    eq.scheduleReserved(10, seq, [&] { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedEventReinsertedAtTheCurrentTick)
+{
+    // The lazy-timer pattern: a running event re-inserts the timer for a
+    // reservation taken after it was scheduled. The timer lands in the
+    // "next" buffer (it is the earliest pending event) and still runs
+    // behind same-tick events that predate the reservation and ahead of
+    // those that follow it.
+    EventQueue eq;
+    std::vector<int> order;
+    std::uint64_t seq = 0;
+    eq.schedule(10, [&] {
+        order.push_back(1);
+        eq.scheduleReserved(10, seq, [&] { order.push_back(3); });
+    });
+    eq.schedule(10, [&] { order.push_back(2); });
+    seq = eq.reserveSeq();
+    eq.schedule(10, [&] { order.push_back(4); });
+    eq.schedule(11, [&] { order.push_back(5); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, ReservedEventKeepsPriorityOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(5, [&] { order.push_back(1); }, EventPriority::ClockTick);
+    eq.schedule(5, [&] { order.push_back(3); }, EventPriority::Stats);
+    eq.scheduleReserved(5, seq, [&] { order.push_back(2); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, UnreservedSequenceNumberPanics)
+{
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSeq();
+    EXPECT_THROW(eq.scheduleReserved(5, seq + 1, [] {}), std::logic_error);
+}
+
+TEST(EventQueue, LazyRearmMatchesEagerTimers)
+{
+    // Randomised re-arm stream: "eager" schedules one event per arm and
+    // lets stale ones no-op; "lazy" keeps one outstanding event and
+    // moves it to the newest arm's reserved slot when it fires. Other
+    // same-tick traffic shares the queue. Both must log the same live
+    // timer firings in the same place in the total order. The timeout
+    // is fixed, as the controller's is, so deadlines never move back.
+    auto runPattern = [](bool lazy) {
+        EventQueue eq;
+        std::vector<std::pair<Tick, int>> log;
+        Tick deadline = 0;
+        std::uint64_t gen = 0, armSeq = 0, timerSeq = 0;
+        bool pending = false;
+        std::function<void()> fire = [&] {
+            if (armSeq != timerSeq) {
+                timerSeq = armSeq;
+                eq.scheduleReserved(deadline, armSeq, [&] { fire(); });
+                return;
+            }
+            pending = false;
+            log.push_back({eq.now(), -1});
+        };
+        constexpr Tick kAfter = 25;
+        auto arm = [&] {
+            ++gen;
+            if (!lazy) {
+                eq.scheduleAfter(kAfter, [&, g = gen] {
+                    if (g == gen)
+                        log.push_back({eq.now(), -1});
+                });
+                return;
+            }
+            deadline = eq.now() + kAfter;
+            armSeq = eq.reserveSeq();
+            if (pending)
+                return;
+            pending = true;
+            timerSeq = armSeq;
+            eq.scheduleReserved(deadline, armSeq, [&] { fire(); });
+        };
+        std::uint64_t state = 12345;
+        auto next = [&state] {
+            state = state * 6364136223846793005ull + 1442695040888963407ull;
+            return state >> 33;
+        };
+        // Visits re-arm at random and spawn follow-ups during the run,
+        // so traffic is also scheduled between an arm and the moment
+        // its timer is re-inserted, often for the deadline's own tick.
+        std::function<void(int, int)> visit = [&](int id, int depth) {
+            log.push_back({eq.now(), id});
+            const std::uint64_t r = next();
+            if (r % 2 == 0)
+                arm();
+            if (depth < 3 && r % 3 != 0) {
+                eq.scheduleAfter(next() % 50, [&, id, depth] {
+                    visit(id + 1000, depth + 1);
+                });
+            }
+        };
+        for (int i = 0; i < 300; ++i)
+            eq.schedule(next() % 6000, [&, i] { visit(i, 0); });
+        eq.run();
+        return log;
+    };
+    const auto eager = runPattern(false);
+    EXPECT_EQ(eager, runPattern(true));
+    EXPECT_GT(std::count_if(eager.begin(), eager.end(),
+                            [](const auto &e) { return e.second < 0; }),
+              10);
 }
 
 namespace {

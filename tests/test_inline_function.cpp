@@ -154,8 +154,10 @@ TEST(InlineFunction, EventQueueCallbackFitsLargestSchedulerCapture)
 {
     // The event queue promises at least 96 inline bytes; the largest
     // capture scheduled anywhere in the tree (a demand completion:
-    // request + completion callback + tick) is 72 bytes. Keep a margin
-    // so new capture members don't silently start heap-allocating.
+    // request + inline completion callback + tick) is exactly 96 bytes
+    // with its 16-byte alignment, so the floor cannot drop.
+    // memory_controller.cc static_asserts the fit and test_alloc_gate
+    // pins onHeap() for it.
     static_assert(EventQueue::Callback::kInlineCapacity >= 96,
                   "event callbacks must hold >= 96 byte captures inline");
     struct Payload
