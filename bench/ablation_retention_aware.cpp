@@ -25,40 +25,15 @@ namespace {
 RunResult
 runScheme(const BenchmarkProfile &profile, PolicyKind policy,
           std::shared_ptr<const RetentionClassMap> classes,
-          const ExperimentOptions &opts)
+          ExperimentOptions opts)
 {
-    SystemConfig cfg;
-    cfg.dram = ddr2_2GB();
-    cfg.policy = policy;
-    cfg.smart.counterBits = opts.counterBits;
-    cfg.smart.autoReconfigure = false;
-    cfg.retentionClasses = std::move(classes);
-    System sys(cfg);
-    for (const auto &wp :
-         conventionalParams(profile, cfg.dram, 1.0, opts.seed))
-        sys.addWorkload(wp);
-
+    const DramConfig dram = ddr2_2GB();
+    opts.autoReconfigure = false;
+    opts.retentionClasses = std::move(classes);
     // Classes stretch some deadlines to 4x64 ms; warm long enough for
     // the slowest class to reach steady state.
-    sys.run(std::max<Tick>(opts.warmup, 4 * cfg.dram.timing.retention));
-    const EnergySnapshot warm = captureSnapshot(sys);
-    sys.run(opts.measure);
-    const EnergySnapshot end = captureSnapshot(sys);
-    const EnergySnapshot d = end - warm;
-
-    RunResult r;
-    r.benchmark = profile.name;
-    r.policy = toString(policy);
-    r.simSeconds =
-        static_cast<double>(d.tick) / static_cast<double>(kSecond);
-    r.refreshesPerSec = static_cast<double>(d.refreshes) / r.simSeconds;
-    r.refreshEnergyJ = d.refreshEnergy;
-    r.overheadJ = d.overheadEnergy;
-    r.totalEnergyJ = d.totalEnergy();
-    r.violations =
-        d.violations +
-        sys.dram().retention().finalCheck(sys.eventQueue().now());
-    return r;
+    opts.warmup = std::max<Tick>(opts.warmup, 4 * dram.timing.retention);
+    return runConventional(profile, dram, policy, opts);
 }
 
 } // namespace

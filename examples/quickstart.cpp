@@ -1,7 +1,9 @@
 /**
  * @file
- * Quickstart: build a 2 GB DDR2 system, run the same workload under the
- * CBR baseline and under Smart Refresh, and print the headline metrics.
+ * Quickstart: run the same workload on a 2 GB DDR2 system under the CBR
+ * baseline and under Smart Refresh (runConventional builds the system,
+ * runs warmup + measurement windows and reduces the metrics), and print
+ * the headline metrics.
  *
  * Usage: quickstart [--measure-ms N] [--bits B] [--verbose]
  */
@@ -9,65 +11,10 @@
 #include <iostream>
 
 #include "harness/cli.hh"
+#include "harness/experiment.hh"
 #include "harness/report.hh"
-#include "harness/system.hh"
-#include "trace/benchmark_profiles.hh"
 
 using namespace smartref;
-
-namespace {
-
-struct QuickResult
-{
-    double refreshesPerSec;
-    double refreshEnergy;
-    double totalEnergy;
-    double avgLatencyNs;
-    std::uint64_t violations;
-};
-
-QuickResult
-runOnce(PolicyKind policy, const ExperimentOptions &opts)
-{
-    SystemConfig cfg;
-    cfg.dram = ddr2_2GB();
-    cfg.policy = policy;
-    cfg.smart.counterBits = opts.counterBits;
-
-    System sys(cfg);
-
-    // A mid-range workload: ~60 % of the module's rows kept alive.
-    for (const auto &wp :
-         conventionalParams(findProfile("mummer"), cfg.dram, 1.0,
-                            opts.seed)) {
-        sys.addWorkload(wp);
-    }
-
-    sys.run(opts.warmup);
-    EnergySnapshot warm = captureSnapshot(sys);
-    sys.run(opts.measure);
-    EnergySnapshot end = captureSnapshot(sys);
-    const std::uint64_t stale =
-        sys.dram().retention().finalCheck(sys.eventQueue().now());
-
-    const EnergySnapshot d = end - warm;
-    const double seconds = static_cast<double>(d.tick) /
-                           static_cast<double>(kSecond);
-
-    QuickResult r;
-    r.refreshesPerSec = static_cast<double>(d.refreshes) / seconds;
-    r.refreshEnergy = d.refreshEnergy + d.overheadEnergy;
-    r.totalEnergy = d.totalEnergy();
-    r.avgLatencyNs = d.demandAccesses
-                         ? d.latencySumTicks /
-                               static_cast<double>(d.demandAccesses) /
-                               static_cast<double>(kNanosecond)
-                         : 0.0;
-    r.violations = d.violations + stale;
-    return r;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -81,8 +28,15 @@ main(int argc, char **argv)
               << " ms, measure " << opts.measure / kMillisecond
               << " ms, " << opts.counterBits << "-bit counters\n";
 
-    const QuickResult base = runOnce(PolicyKind::Cbr, opts);
-    const QuickResult smart = runOnce(PolicyKind::Smart, opts);
+    // A mid-range workload: ~60 % of the module's rows kept alive.
+    const BenchmarkProfile &mummer = findProfile("mummer");
+    const RunResult base =
+        runConventional(mummer, ddr2_2GB(), PolicyKind::Cbr, opts);
+    const RunResult smart =
+        runConventional(mummer, ddr2_2GB(), PolicyKind::Smart, opts);
+    // Smart Refresh is charged its bus + counter overheads.
+    const double baseRefreshJ = base.refreshEnergyJ + base.overheadJ;
+    const double smartRefreshJ = smart.refreshEnergyJ + smart.overheadJ;
 
     ReportTable table({"metric", "CBR baseline", "Smart Refresh",
                        "change"});
@@ -91,16 +45,14 @@ main(int argc, char **argv)
                   fmtPercent(1.0 - smart.refreshesPerSec /
                                        base.refreshesPerSec) +
                       " fewer"});
-    table.addRow({"refresh energy (mJ)",
-                  fmtDouble(base.refreshEnergy * 1e3),
-                  fmtDouble(smart.refreshEnergy * 1e3),
-                  fmtPercent(1.0 - smart.refreshEnergy /
-                                       base.refreshEnergy) +
+    table.addRow({"refresh energy (mJ)", fmtDouble(baseRefreshJ * 1e3),
+                  fmtDouble(smartRefreshJ * 1e3),
+                  fmtPercent(1.0 - smartRefreshJ / baseRefreshJ) +
                       " saved"});
     table.addRow({"total DRAM energy (mJ)",
-                  fmtDouble(base.totalEnergy * 1e3),
-                  fmtDouble(smart.totalEnergy * 1e3),
-                  fmtPercent(1.0 - smart.totalEnergy / base.totalEnergy) +
+                  fmtDouble(base.totalEnergyJ * 1e3),
+                  fmtDouble(smart.totalEnergyJ * 1e3),
+                  fmtPercent(1.0 - smart.totalEnergyJ / base.totalEnergyJ) +
                       " saved"});
     table.addRow({"avg demand latency (ns)",
                   fmtDouble(base.avgLatencyNs, 1),

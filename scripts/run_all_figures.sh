@@ -4,9 +4,8 @@
 # The paper figures (6-18) come from one smartref_sweep run over the
 # "figures" grid: each config's 32-benchmark suite is simulated once
 # and every figure is derived from it, fanned out over all cores.
-# --seed-mode fixed keeps per-benchmark numbers identical to the
-# historical serial bench binaries (every job at the base seed), which
-# is what EXPERIMENTS.md was generated with.
+# --seed-mode fixed runs every job at the base seed (42), which is what
+# EXPERIMENTS.md was generated with.
 #
 # Usage: scripts/run_all_figures.sh [build-dir] [results-dir] [jobs]
 set -euo pipefail
@@ -21,8 +20,8 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 
 run() {
-    # Every bench binary tolerates --csv (table printers ignore their
-    # argv); a non-zero exit is a real failure and aborts the script --
+    # Every table/ablation binary tolerates --csv (table printers ignore
+    # their argv); a non-zero exit is a real failure and aborts the script --
     # no silent fallback that masks crashed binaries.
     local name="$1"
     echo "=== $name ==="

@@ -3,15 +3,13 @@
 #include <charconv>
 #include <cmath>
 #include <iostream>
-#include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dram/energy_ledger.hh"
 #include "harness/sharded.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
-#include "sim/phase_profiler.hh"
-#include "sim/thread_pool.hh"
 
 namespace smartref {
 
@@ -98,14 +96,14 @@ percentileNs(const Histogram &h, double p)
 }
 
 RunResult
-reduce(const std::string &benchmark, const std::string &suite,
-       const std::string &policy, const EnergySnapshot &delta,
-       std::size_t maxBacklog, const Histogram *latency)
+reduce(const BenchmarkProfile &profile, PolicyKind policy,
+       const EnergySnapshot &delta, std::size_t maxBacklog,
+       const Histogram &latency, std::uint64_t eventsExecuted)
 {
     RunResult r;
-    r.benchmark = benchmark;
-    r.suite = suite;
-    r.policy = policy;
+    r.benchmark = profile.name;
+    r.suite = profile.suite;
+    r.policy = toString(policy);
     r.simSeconds = static_cast<double>(delta.tick) /
                    static_cast<double>(kSecond);
     r.refreshesPerSec =
@@ -128,290 +126,183 @@ reduce(const std::string &benchmark, const std::string &suite,
     r.demandBlockedByRefreshTicks = delta.demandBlockedTicks;
     r.refreshStallsAvoided = delta.refreshStallsAvoided;
     r.subarrayConflicts = delta.subarrayConflicts;
-    if (latency) {
-        r.latencyP50Ns = percentileNs(*latency, 0.50);
-        r.latencyP95Ns = percentileNs(*latency, 0.95);
-        r.latencyP99Ns = percentileNs(*latency, 0.99);
-    }
+    r.latencyP50Ns = percentileNs(latency, 0.50);
+    r.latencyP95Ns = percentileNs(latency, 0.95);
+    r.latencyP99Ns = percentileNs(latency, 0.99);
+    r.eventsExecuted = eventsExecuted;
     return r;
 }
 
-SmartRefreshConfig
-smartConfig(const ExperimentOptions &opts)
+void
+announce(const BenchmarkProfile &profile, const DramConfig &dram,
+         PolicyKind policy, const ExperimentOptions &opts)
 {
-    SmartRefreshConfig sc;
-    sc.counterBits = opts.counterBits;
-    sc.segments = opts.segments;
-    sc.queueCapacity = opts.segments;
-    sc.autoReconfigure = opts.autoReconfigure;
-    sc.sparseCounters = opts.sparseCounters;
-    return sc;
+    if (!opts.verbose)
+        return;
+    std::cerr << "  [" << dram.name << "/" << toString(policy);
+    if (dram.channels > 1)
+        std::cerr << "/" << dram.channels << "ch";
+    std::cerr << "] " << profile.name << "..." << std::endl;
+}
+
+/**
+ * Copy the options' Smart Refresh knobs and observers into a system
+ * config (SystemConfig or ThreeDSystemConfig). When conservation is
+ * checked and no ledger is attached, a throwaway one, owned by
+ * `checkLedger`, is wired up for the check.
+ */
+template <typename Config>
+void
+wireObservers(Config &cfg, const DramConfig &dram,
+              const ExperimentOptions &opts,
+              std::unique_ptr<EnergyLedger> &checkLedger)
+{
+    cfg.smart.counterBits = opts.counterBits;
+    cfg.smart.segments = opts.segments;
+    cfg.smart.queueCapacity = opts.segments;
+    cfg.smart.autoReconfigure = opts.autoReconfigure;
+    cfg.smart.sparseCounters = opts.sparseCounters;
+    cfg.heatmap = opts.heatmap;
+    cfg.audit = opts.audit;
+    cfg.ledger = opts.ledger;
+    cfg.profiler = opts.profiler;
+    cfg.retentionClasses = opts.retentionClasses;
+    if (opts.checkConservation && !cfg.ledger) {
+        checkLedger = std::make_unique<EnergyLedger>(EnergyLedger::Shape{
+            dram.channels * dram.org.ranks, dram.org.banks});
+        cfg.ledger = checkLedger.get();
+    }
+}
+
+/** @name The refresh domain a single-engine system is measured on. */
+///@{
+DramModule &
+deviceOf(System &sys)
+{
+    return sys.dram();
+}
+
+DramModule &
+deviceOf(ThreeDSystem &sys)
+{
+    return sys.threeDDram();
+}
+
+const MemoryController &
+controllerOf(System &sys)
+{
+    return sys.controller();
+}
+
+const MemoryController &
+controllerOf(ThreeDSystem &sys)
+{
+    return sys.threeDController();
+}
+///@}
+
+/**
+ * The measurement every run shares: warmup, snapshot, measure,
+ * snapshot, the retention oracle's final check, the optional
+ * conservation check, and the reduction of the window's delta. A
+ * sharded system merges its channels' observers and latency
+ * histograms (in channel order) before the reduction.
+ */
+template <typename Sys>
+RunResult
+measureRun(Sys &sys, const BenchmarkProfile &profile, PolicyKind policy,
+           const ExperimentOptions &opts)
+{
+    constexpr bool sharded = std::is_same_v<Sys, ShardedSystem>;
+    const auto snapshot = [&sys] {
+        if constexpr (sharded)
+            return sys.captureMergedSnapshot();
+        else
+            return captureSnapshot(sys);
+    };
+    sys.run(opts.warmup);
+    const EnergySnapshot atWarm = snapshot();
+    sys.run(opts.measure);
+    EnergySnapshot delta = snapshot() - atWarm;
+
+    if constexpr (sharded) {
+        delta.violations += sys.finalCheck();
+        if (opts.checkConservation)
+            sys.verifyLedgers(true);
+        sys.mergeObservers();
+        StatGroup scratch("sharded");
+        const Histogram &shape =
+            sys.channel(0).controller().latencyHistogram();
+        Histogram latency(&scratch, "latency", "merged demand latency",
+                          shape.bucketLo(), shape.bucketHi(),
+                          shape.numBuckets());
+        sys.mergeLatency(latency);
+        return reduce(profile, policy, delta, sys.maxRefreshBacklog(),
+                      latency, sys.eventsExecuted());
+    } else {
+        delta.violations +=
+            deviceOf(sys).retention().finalCheck(sys.eventQueue().now());
+        if (opts.checkConservation)
+            deviceOf(sys).verifyLedger(true);
+        const MemoryController &ctrl = controllerOf(sys);
+        return reduce(profile, policy, delta, ctrl.maxRefreshBacklog(),
+                      ctrl.latencyHistogram(), sys.eventQueue().executed());
+    }
 }
 
 } // namespace
 
 RunResult
 runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
-                PolicyKind policy, const ExperimentOptions &opts,
-                double absRowScale)
+                PolicyKind policy, const ExperimentOptions &opts)
 {
-    if (dram.channels > 1)
-        return runShardedConventional(profile, dram, policy, opts,
-                                      absRowScale);
-    if (opts.verbose) {
-        std::cerr << "  [" << dram.name << "/" << toString(policy) << "] "
-                  << profile.name << "..." << std::endl;
-    }
+    announce(profile, dram, policy, opts);
     SystemConfig cfg;
     cfg.dram = dram;
     cfg.policy = policy;
-    cfg.smart = smartConfig(opts);
-    cfg.heatmap = opts.heatmap;
-    cfg.audit = opts.audit;
-    cfg.ledger = opts.ledger;
-    cfg.profiler = opts.profiler;
-    cfg.retentionClasses = opts.retentionClasses;
     std::unique_ptr<EnergyLedger> checkLedger;
-    if (opts.checkConservation && !cfg.ledger) {
-        checkLedger = std::make_unique<EnergyLedger>(
-            EnergyLedger::Shape{dram.org.ranks, dram.org.banks});
-        cfg.ledger = checkLedger.get();
+    wireObservers(cfg, dram, opts, checkLedger);
+    // Larger modules spread each footprint over more rows than the
+    // 2 GB calibration; the scale follows the row-buffer geometry, not
+    // the config's name, so new configs are never silently unscaled.
+    const double scale = absRowScaleFor(dram.org);
+
+    if (dram.channels > 1) {
+        ShardedSystem sys(cfg, opts.shardJobs);
+        DramConfig chDram = dram;
+        chDram.channels = 1;
+        for (std::uint32_t c = 0; c < dram.channels; ++c) {
+            for (const auto &wp :
+                 conventionalParams(profile, chDram, scale,
+                                    shardChannelSeed(opts.seed, c))) {
+                sys.channel(c).addWorkload(wp);
+            }
+        }
+        return measureRun(sys, profile, policy, opts);
     }
+
     System sys(cfg);
     for (const auto &wp :
-         conventionalParams(profile, dram, absRowScale, opts.seed)) {
+         conventionalParams(profile, dram, scale, opts.seed)) {
         sys.addWorkload(wp);
     }
-
-    sys.run(opts.warmup);
-    const EnergySnapshot atWarm = captureSnapshot(sys);
-    sys.run(opts.measure);
-    const EnergySnapshot atEnd = captureSnapshot(sys);
-
-    const std::uint64_t stale =
-        sys.dram().retention().finalCheck(sys.eventQueue().now());
-    EnergySnapshot delta = atEnd - atWarm;
-    delta.violations += stale;
-
-    if (opts.checkConservation)
-        sys.dram().verifyLedger(true);
-
-    RunResult r = reduce(profile.name, profile.suite, toString(policy),
-                         delta, sys.controller().maxRefreshBacklog(),
-                         &sys.controller().latencyHistogram());
-    r.eventsExecuted = sys.eventQueue().executed();
-    return r;
-}
-
-RunResult
-runShardedConventional(const BenchmarkProfile &profile,
-                       const DramConfig &dram, PolicyKind policy,
-                       const ExperimentOptions &opts, double absRowScale)
-{
-    if (opts.verbose) {
-        std::cerr << "  [" << dram.name << "/" << toString(policy) << "/"
-                  << dram.channels << "ch] " << profile.name << "..."
-                  << std::endl;
-    }
-    SystemConfig cfg;
-    cfg.dram = dram;
-    cfg.policy = policy;
-    cfg.smart = smartConfig(opts);
-    cfg.heatmap = opts.heatmap;
-    cfg.audit = opts.audit;
-    cfg.ledger = opts.ledger;
-    cfg.profiler = opts.profiler;
-    cfg.retentionClasses = opts.retentionClasses;
-    std::unique_ptr<EnergyLedger> checkLedger;
-    if (opts.checkConservation && !cfg.ledger) {
-        checkLedger = std::make_unique<EnergyLedger>(EnergyLedger::Shape{
-            dram.channels * dram.org.ranks, dram.org.banks});
-        cfg.ledger = checkLedger.get();
-    }
-    ShardedSystem sys(cfg, opts.shardJobs);
-
-    DramConfig chDram = dram;
-    chDram.channels = 1;
-    for (std::uint32_t c = 0; c < dram.channels; ++c) {
-        for (const auto &wp :
-             conventionalParams(profile, chDram, absRowScale,
-                                shardChannelSeed(opts.seed, c))) {
-            sys.channel(c).addWorkload(wp);
-        }
-    }
-
-    sys.run(opts.warmup);
-    const EnergySnapshot atWarm = sys.captureMergedSnapshot();
-    sys.run(opts.measure);
-    const EnergySnapshot atEnd = sys.captureMergedSnapshot();
-
-    const std::uint64_t stale = sys.finalCheck();
-    EnergySnapshot delta = atEnd - atWarm;
-    delta.violations += stale;
-
-    if (opts.checkConservation)
-        sys.verifyLedgers(true);
-    sys.mergeObservers();
-
-    // Whole-run latency percentiles over all channels' demand traffic.
-    StatGroup scratch("sharded");
-    const Histogram &shape = sys.channel(0).controller().latencyHistogram();
-    Histogram latency(&scratch, "latency", "merged demand latency",
-                      shape.bucketLo(), shape.bucketHi(),
-                      shape.numBuckets());
-    sys.mergeLatency(latency);
-
-    RunResult r = reduce(profile.name, profile.suite, toString(policy),
-                         delta, sys.maxRefreshBacklog(), &latency);
-    r.eventsExecuted = sys.eventsExecuted();
-    return r;
-}
-
-ComparisonResult
-compareConventional(const BenchmarkProfile &profile, const DramConfig &dram,
-                    const ExperimentOptions &opts, double absRowScale)
-{
-    ComparisonResult c;
-    c.benchmark = profile.name;
-    c.suite = profile.suite;
-    // The heatmap, audit trail and ledger observe the policy under test
-    // only; the baseline run would otherwise double every counter. The
-    // profiler covers both runs under separate stage scopes.
-    ExperimentOptions baseOpts = opts;
-    baseOpts.heatmap = nullptr;
-    baseOpts.audit = nullptr;
-    baseOpts.ledger = nullptr;
-    {
-        PhaseScope stage(opts.profiler, "baseline");
-        c.baseline = runConventional(profile, dram, PolicyKind::Cbr,
-                                     baseOpts, absRowScale);
-    }
-    {
-        PhaseScope stage(opts.profiler, "policy");
-        c.smart = runConventional(profile, dram, PolicyKind::Smart, opts,
-                                  absRowScale);
-    }
-    return c;
+    return measureRun(sys, profile, policy, opts);
 }
 
 RunResult
 runThreeD(const BenchmarkProfile &profile, const DramConfig &threeD,
           PolicyKind policy, const ExperimentOptions &opts)
 {
-    if (opts.verbose) {
-        std::cerr << "  [" << threeD.name << "/" << toString(policy)
-                  << "] " << profile.name << "..." << std::endl;
-    }
+    announce(profile, threeD, policy, opts);
     ThreeDSystemConfig cfg;
     cfg.threeD = threeD;
     cfg.threeDPolicy = policy;
-    cfg.smart = smartConfig(opts);
-    cfg.heatmap = opts.heatmap;
-    cfg.audit = opts.audit;
-    cfg.ledger = opts.ledger;
-    cfg.profiler = opts.profiler;
-    cfg.retentionClasses = opts.retentionClasses;
     std::unique_ptr<EnergyLedger> checkLedger;
-    if (opts.checkConservation && !cfg.ledger) {
-        checkLedger = std::make_unique<EnergyLedger>(
-            EnergyLedger::Shape{threeD.org.ranks, threeD.org.banks});
-        cfg.ledger = checkLedger.get();
-    }
+    wireObservers(cfg, threeD, opts, checkLedger);
     ThreeDSystem sys(cfg);
     for (const auto &wp : threeDParams(profile, threeD, opts.seed))
         sys.addWorkload(wp);
-
-    sys.run(opts.warmup);
-    const EnergySnapshot atWarm = captureSnapshot(sys);
-    sys.run(opts.measure);
-    const EnergySnapshot atEnd = captureSnapshot(sys);
-
-    const std::uint64_t stale =
-        sys.threeDDram().retention().finalCheck(sys.eventQueue().now());
-    EnergySnapshot delta = atEnd - atWarm;
-    delta.violations += stale;
-
-    if (opts.checkConservation)
-        sys.threeDDram().verifyLedger(true);
-
-    RunResult r =
-        reduce(profile.name, profile.suite, toString(policy), delta,
-               sys.threeDController().maxRefreshBacklog(),
-               &sys.threeDController().latencyHistogram());
-    r.eventsExecuted = sys.eventQueue().executed();
-    return r;
-}
-
-ComparisonResult
-compareThreeD(const BenchmarkProfile &profile, const DramConfig &threeD,
-              const ExperimentOptions &opts)
-{
-    ComparisonResult c;
-    c.benchmark = profile.name;
-    c.suite = profile.suite;
-    ExperimentOptions baseOpts = opts;
-    baseOpts.heatmap = nullptr;
-    baseOpts.audit = nullptr;
-    baseOpts.ledger = nullptr;
-    {
-        PhaseScope stage(opts.profiler, "baseline");
-        c.baseline = runThreeD(profile, threeD, PolicyKind::Cbr, baseOpts);
-    }
-    {
-        PhaseScope stage(opts.profiler, "policy");
-        c.smart = runThreeD(profile, threeD, PolicyKind::Smart, opts);
-    }
-    return c;
-}
-
-namespace {
-
-/**
- * Shared suite driver: one comparison per profile, fanned out over
- * `jobs` workers, results stored by profile index so the output order
- * (and content — every run is an isolated simulation) matches the
- * serial loop exactly.
- */
-std::vector<ComparisonResult>
-runSuite(unsigned jobs, const SuiteProgress &progress,
-         const std::function<ComparisonResult(const BenchmarkProfile &)>
-             &compare)
-{
-    const auto &profiles = allProfiles();
-    std::vector<ComparisonResult> results(profiles.size());
-    std::mutex progressMu;
-    parallelFor(jobs, profiles.size(), [&](std::size_t i) {
-        results[i] = compare(profiles[i]);
-        if (progress) {
-            std::lock_guard<std::mutex> lk(progressMu);
-            progress(results[i]);
-        }
-    });
-    return results;
-}
-
-} // namespace
-
-std::vector<ComparisonResult>
-runConventionalSuite(const DramConfig &dram, const ExperimentOptions &opts,
-                     double absRowScale, unsigned jobs,
-                     const SuiteProgress &progress)
-{
-    return runSuite(jobs, progress,
-                    [&](const BenchmarkProfile &profile) {
-                        return compareConventional(profile, dram, opts,
-                                                   absRowScale);
-                    });
-}
-
-std::vector<ComparisonResult>
-runThreeDSuite(const DramConfig &threeD, const ExperimentOptions &opts,
-               unsigned jobs, const SuiteProgress &progress)
-{
-    return runSuite(jobs, progress,
-                    [&](const BenchmarkProfile &profile) {
-                        return compareThreeD(profile, threeD, opts);
-                    });
+    return measureRun(sys, profile, policy, opts);
 }
 
 double

@@ -1,8 +1,10 @@
 /**
  * @file
- * Experiment runner: builds matched baseline/Smart systems for a
- * benchmark profile, runs warmup + measurement windows, and reduces the
- * results to the metrics the paper's figures report.
+ * Experiment runner: builds the system for one (benchmark profile,
+ * policy) run, runs warmup + measurement windows, and reduces the
+ * results to the metrics the paper's figures report. runSweepJob
+ * (harness/sweep.hh) pairs a CBR baseline run with the policy under
+ * test.
  *
  * Measurement uses snapshot deltas rather than statistic resets: a
  * snapshot of all accumulating quantities is taken at the end of warmup
@@ -12,7 +14,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -228,65 +229,21 @@ struct ExperimentOptions
 };
 
 /**
- * Run one benchmark on a conventional module with one policy. Configs
- * with channels > 1 are delegated to runShardedConventional().
+ * Run one benchmark on a conventional module with one policy. The
+ * workload footprint is scaled to the module's row-buffer geometry
+ * (absRowScaleFor). Configs with channels > 1 run every channel in
+ * epoch lock-step (harness/sharded.hh), each with its own workload
+ * stream seeded by shardChannelSeed(); the merged metrics are
+ * byte-identical for any opts.shardJobs.
  */
 RunResult runConventional(const BenchmarkProfile &profile,
                           const DramConfig &dram, PolicyKind policy,
-                          const ExperimentOptions &opts,
-                          double absRowScale = 1.0);
-
-/**
- * Run one benchmark across every channel of a multi-channel config in
- * epoch lock-step (harness/sharded.hh) and reduce the merged totals to
- * the same RunResult a single-channel run reports. Each channel gets
- * its own workload stream seeded by shardChannelSeed(); the merged
- * metrics are byte-identical for any opts.shardJobs.
- */
-RunResult runShardedConventional(const BenchmarkProfile &profile,
-                                 const DramConfig &dram, PolicyKind policy,
-                                 const ExperimentOptions &opts,
-                                 double absRowScale = 1.0);
-
-/** CBR baseline vs Smart Refresh on a conventional module. */
-ComparisonResult compareConventional(const BenchmarkProfile &profile,
-                                     const DramConfig &dram,
-                                     const ExperimentOptions &opts,
-                                     double absRowScale = 1.0);
+                          const ExperimentOptions &opts);
 
 /** Run one benchmark through the 3D DRAM cache with one policy. */
 RunResult runThreeD(const BenchmarkProfile &profile,
                     const DramConfig &threeD, PolicyKind policy,
                     const ExperimentOptions &opts);
-
-/** CBR baseline vs Smart Refresh on the 3D DRAM cache. */
-ComparisonResult compareThreeD(const BenchmarkProfile &profile,
-                               const DramConfig &threeD,
-                               const ExperimentOptions &opts);
-
-/**
- * Per-comparison completion callback for suite runs. Invoked under an
- * internal mutex (callbacks never overlap) in *completion* order, which
- * depends on scheduling when jobs > 1; the returned result vector is
- * always in profile order regardless.
- */
-using SuiteProgress = std::function<void(const ComparisonResult &)>;
-
-/**
- * All 32 profiles on a conventional module. With jobs > 1 the
- * benchmarks are fanned out over a work-stealing thread pool; each
- * comparison is an independent simulation, so the results are
- * identical to the serial run (see docs/sweep.md for the contract).
- */
-std::vector<ComparisonResult>
-runConventionalSuite(const DramConfig &dram, const ExperimentOptions &opts,
-                     double absRowScale = 1.0, unsigned jobs = 1,
-                     const SuiteProgress &progress = {});
-
-/** All 32 profiles through the 3D DRAM cache (jobs as above). */
-std::vector<ComparisonResult>
-runThreeDSuite(const DramConfig &threeD, const ExperimentOptions &opts,
-               unsigned jobs = 1, const SuiteProgress &progress = {});
 
 /** Geometric mean (values must be positive; non-positive are clamped). */
 double geometricMean(const std::vector<double> &values);

@@ -220,17 +220,4 @@ printRefreshRateFigure(std::ostream &os, const std::string &title,
     return gmean;
 }
 
-void
-checkNoViolations(const std::vector<ComparisonResult> &results)
-{
-    for (const auto &r : results) {
-        if (r.baseline.violations != 0 || r.smart.violations != 0) {
-            SMARTREF_PANIC("retention violation in benchmark '",
-                           r.benchmark, "': baseline=",
-                           r.baseline.violations,
-                           " smart=", r.smart.violations);
-        }
-    }
-}
-
 } // namespace smartref

@@ -1,8 +1,8 @@
 /**
  * @file
- * Figure/table formatting for the bench binaries: aligned console
- * tables, per-suite grouping, geometric-mean footers and CSV export —
- * one call per paper figure.
+ * Figure/table formatting: aligned console tables, per-suite grouping,
+ * geometric-mean footers and CSV export — one call per paper figure
+ * (see writeFigures in harness/sweep.hh).
  */
 
 #pragma once
@@ -78,8 +78,5 @@ double printRefreshRateFigure(std::ostream &os, const std::string &title,
                               double baselinePerSec,
                               const std::vector<ComparisonResult> &results,
                               const std::string &csvPath = "");
-
-/** Assert that no run saw a retention violation; aborts loudly if so. */
-void checkNoViolations(const std::vector<ComparisonResult> &results);
 
 } // namespace smartref

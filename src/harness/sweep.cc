@@ -9,6 +9,7 @@
 #include <mutex>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 #include "ctrl/bus_energy_model.hh"
 #include "dram/refresh_parallelism.hh"
@@ -127,28 +128,21 @@ runSweepJob(const SweepJob &job, const SweepRunOptions &opts)
         eo.retentionClasses = std::make_shared<const RetentionClassMap>(
             dram.org.totalRows(), cp);
     }
-    if (isThreeDConfigName(job.point.config)) {
-        {
-            PhaseScope stage(eo.profiler, "baseline");
-            result.comparison.baseline =
-                runThreeD(profile, dram, PolicyKind::Cbr, eoBase);
-        }
+    // The one CBR-vs-policy pairing: the heatmap and the retention-class
+    // map belong to the policy under test and stay off the baseline run
+    // (eoBase); the profiler covers both under separate stage scopes.
+    const bool threeD = isThreeDConfigName(job.point.config);
+    const auto run = [&](PolicyKind kind, const ExperimentOptions &o) {
+        return threeD ? runThreeD(profile, dram, kind, o)
+                      : runConventional(profile, dram, kind, o);
+    };
+    {
+        PhaseScope stage(eo.profiler, "baseline");
+        result.comparison.baseline = run(PolicyKind::Cbr, eoBase);
+    }
+    {
         PhaseScope stage(eo.profiler, "policy");
-        result.comparison.smart = runThreeD(profile, dram, policy, eo);
-    } else {
-        // Larger modules spread each footprint over more rows than the
-        // 2 GB calibration; the scale follows the row-buffer geometry
-        // (absRowScaleFor), not the config's name, so new configs are
-        // never silently unscaled.
-        const double scale = absRowScaleFor(dram.org);
-        {
-            PhaseScope stage(eo.profiler, "baseline");
-            result.comparison.baseline = runConventional(
-                profile, dram, PolicyKind::Cbr, eoBase, scale);
-        }
-        PhaseScope stage(eo.profiler, "policy");
-        result.comparison.smart =
-            runConventional(profile, dram, policy, eo, scale);
+        result.comparison.smart = run(policy, eo);
     }
     if (opts.profile)
         result.profileJson = profiler.toJson();
@@ -818,6 +812,24 @@ figuresForConfig(const std::string &configName)
                  "all under 1%, GMEAN 0.11%", M::Performance, 3}};
     }
     return {};
+}
+
+void
+checkFiguresGrid(const SweepGrid &grid)
+{
+    const std::pair<const char *, std::size_t> axes[] = {
+        {"counterBits", grid.counterBits.size()},
+        {"policies", grid.policies.size()},
+        {"retentionMs", grid.retentionMs.size()},
+        {"parallelism", grid.parallelism.size()},
+    };
+    for (const auto &[axis, values] : axes) {
+        if (values > 1)
+            SMARTREF_FATAL("--figures needs one value on the '", axis,
+                           "' axis (grid '", grid.name, "' has ", values,
+                           "): figure tables group results by config "
+                           "only");
+    }
 }
 
 void

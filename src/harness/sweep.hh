@@ -213,8 +213,8 @@ std::uint64_t totalViolations(const std::vector<SweepJobResult> &results);
 
 /**
  * The paper figures a full-suite run over one config reproduces.
- * `configName` is the preset name; figure ids follow the bench
- * binaries (fig06..fig18).
+ * `configName` is the preset name; figure ids are the paper's figure
+ * numbers (fig06..fig18).
  */
 struct FigureSpec
 {
@@ -232,11 +232,18 @@ std::vector<FigureSpec> figuresForConfig(const std::string &configName);
 /**
  * Print the paper-figure tables for one config's full-suite results
  * (comparisons must be in profile order) and, when outDir is
- * non-empty, write one CSV per figure as `<outDir>/<id>.csv` —
- * byte-compatible with the corresponding bench binary's --csv output.
+ * non-empty, write one CSV per figure as `<outDir>/<id>.csv`.
  */
 void writeFigures(std::ostream &os, const std::string &configName,
                   const std::vector<ComparisonResult> &comparisons,
                   const std::string &outDir);
+
+/**
+ * Fatal unless the grid can be viewed as paper figures: the figure
+ * tables group results by config only, so the counterBits, policies,
+ * retentionMs and parallelism axes must each hold one value. The
+ * message names the first offending axis.
+ */
+void checkFiguresGrid(const SweepGrid &grid);
 
 } // namespace smartref

@@ -94,7 +94,7 @@ SweepGrid loadSweepGrid(const std::string &path);
 /** How job seeds are chosen during grid expansion. */
 enum class SeedMode {
     Derived, ///< deriveJobSeed(base, point): the determinism contract
-    Fixed,   ///< every job uses the base seed (bench-binary parity)
+    Fixed,   ///< every job uses the base seed (EXPERIMENTS.md)
 };
 
 /** "derived" / "fixed"; the spelling used in JSON artifacts. */

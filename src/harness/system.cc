@@ -59,7 +59,7 @@ System::System(const SystemConfig &cfg)
     // through the sharded runner (harness/sharded.hh), which builds one
     // System per channel and merges.
     SMARTREF_ASSERT(cfg_.dram.channels == 1,
-                    "System models one channel; use runShardedConventional"
+                    "System models one channel; use ShardedSystem"
                     " for configs with channels > 1");
     dram_ = std::make_unique<DramModule>(cfg_.dram, eq_, this);
     ctrl_ = std::make_unique<MemoryController>(*dram_, eq_, cfg_.ctrl,

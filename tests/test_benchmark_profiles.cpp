@@ -116,6 +116,15 @@ TEST(ConventionalParams, FourGBScalingIncreasesAbsoluteRows)
                 1.3 * static_cast<double>(p2[0].footprintRows), 2.0);
 }
 
+TEST(ConventionalParams, RowScaleIsExactAtTheCalibrationPoints)
+{
+    // Every conventional run derives its footprint scale from the
+    // module geometry, so the 2 GB and 4 GB figures depend on these
+    // two values being bit-exact.
+    EXPECT_EQ(absRowScaleFor(ddr2_2GB().org), 1.0);
+    EXPECT_EQ(absRowScaleFor(ddr2_4GB().org), kFourGBRowScale);
+}
+
 TEST(ConventionalParams, FootprintCappedByModule)
 {
     // A 0.857 coverage on a module SMALLER than 2 GB must clamp.

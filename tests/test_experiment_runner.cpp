@@ -1,13 +1,15 @@
 /**
  * @file
- * Smoke tests for the experiment pipeline the bench binaries build on:
+ * Smoke tests for the experiment pipeline behind every sweep job:
  * full-size configurations with shortened windows, checking that the
- * calibration anchors hold end-to-end.
+ * calibration anchors hold end-to-end for single runs and for the
+ * CBR-vs-Smart pairing of runSweepJob.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 
 using namespace smartref;
 
@@ -24,6 +26,20 @@ quickOpts()
     return opts;
 }
 
+/** One-point sweep job comparing CBR with Smart Refresh at quickOpts(). */
+ComparisonResult
+compareSmart(const std::string &config, const std::string &benchmark)
+{
+    SweepJob job;
+    job.point.config = config;
+    job.point.benchmark = benchmark;
+    job.seed = quickOpts().seed;
+    SweepRunOptions opts;
+    opts.warmup = quickOpts().warmup;
+    opts.measure = quickOpts().measure;
+    return runSweepJob(job, opts).comparison;
+}
+
 } // namespace
 
 TEST(ExperimentRunner, ConventionalBaselineAnchor)
@@ -38,8 +54,7 @@ TEST(ExperimentRunner, ConventionalBaselineAnchor)
 
 TEST(ExperimentRunner, ConventionalComparisonHitsCalibration)
 {
-    const ComparisonResult c = compareConventional(
-        findProfile("fasta"), ddr2_2GB(), quickOpts());
+    const ComparisonResult c = compareSmart("2gb", "fasta");
     // fasta's calibration target is a 26 % reduction.
     EXPECT_NEAR(c.refreshReduction(), 0.26, 0.05);
     EXPECT_GT(c.refreshEnergySaving(), 0.10);
@@ -58,8 +73,7 @@ TEST(ExperimentRunner, ThreeDBaselineAnchor)
 
 TEST(ExperimentRunner, ThreeDComparisonHitsCalibration)
 {
-    const ComparisonResult c =
-        compareThreeD(findProfile("mummer"), dram3d_64MB(), quickOpts());
+    const ComparisonResult c = compareSmart("3d64", "mummer");
     // mummer's 3D calibration target is a 42 % reduction.
     EXPECT_NEAR(c.refreshReduction(), 0.42, 0.06);
     EXPECT_EQ(c.smart.violations, 0u);
@@ -75,9 +89,9 @@ TEST(ExperimentRunner, ThirtyTwoMsDoublesThreeDBaseline)
 
 TEST(ExperimentRunner, FourGBBaselineAnchor)
 {
+    // The 4 GB footprint scale is derived from the module's geometry.
     const RunResult r = runConventional(findProfile("fasta"), ddr2_4GB(),
-                                        PolicyKind::Cbr, quickOpts(),
-                                        kFourGBRowScale);
+                                        PolicyKind::Cbr, quickOpts());
     EXPECT_NEAR(r.refreshesPerSec, 4096000.0, 4096000.0 * 0.002);
     EXPECT_EQ(r.violations, 0u);
 }

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 
 #include "harness/sweep.hh"
@@ -70,6 +74,59 @@ aggregateCsv(const SweepGrid &grid, const SweepRunOptions &opts)
     std::ostringstream oss;
     writeSweepCsv(runSweep(grid, opts), oss);
     return oss.str();
+}
+
+/**
+ * Synthetic full-suite comparisons in profile order: figure views are
+ * pure formatting, so no simulation is needed to exercise them.
+ */
+std::vector<ComparisonResult>
+syntheticSuite()
+{
+    std::vector<ComparisonResult> out;
+    for (const BenchmarkProfile &p : allProfiles()) {
+        ComparisonResult c;
+        c.benchmark = c.baseline.benchmark = p.name;
+        c.suite = c.baseline.suite = p.suite;
+        c.baseline.refreshesPerSec = 2048000.0;
+        c.baseline.refreshEnergyJ = 1.0;
+        c.baseline.totalEnergyJ = 4.0;
+        c.baseline.simSeconds = 0.1;
+        c.baseline.latencySumSec = 0.01;
+        c.smart = c.baseline;
+        c.smart.refreshesPerSec = 1024000.0;
+        c.smart.refreshEnergyJ = 0.5;
+        c.smart.totalEnergyJ = 3.5;
+        c.smart.latencySumSec = 0.009;
+        out.push_back(c);
+    }
+    return out;
+}
+
+/** Every line of a file. */
+std::vector<std::string>
+fileLines(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** Sorted names of the files writeFigures left in a fresh directory. */
+std::vector<std::string>
+figureFiles(const std::string &config, const std::string &dir)
+{
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ostringstream console;
+    writeFigures(console, config, syntheticSuite(), dir);
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 } // namespace
@@ -366,4 +423,59 @@ TEST(SweepFigures, SpecsCoverThePaperConfigs)
     EXPECT_TRUE(figuresForConfig("edram").empty());
     EXPECT_EQ(figuresForConfig("2gb")[0].id, "fig06");
     EXPECT_EQ(figuresForConfig("3d64-32ms")[3].id, "fig18");
+}
+
+TEST(SweepFigures, WritesOneCsvPerPaperFigure)
+{
+    const std::string dir = testing::TempDir() + "smartref_figures";
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(figureFiles("2gb", dir),
+              (Names{"fig06.csv", "fig07.csv", "fig08.csv"}));
+    EXPECT_EQ(figureFiles("3d32", dir), Names{});
+
+    const Names names = figureFiles("3d64-32ms", dir);
+    ASSERT_EQ(names, (Names{"fig15.csv", "fig16.csv", "fig17.csv",
+                            "fig18.csv"}));
+    for (const std::string &name : names) {
+        // A header, one row per benchmark, and the GMEAN footer.
+        const auto lines = fileLines(dir + "/" + name);
+        ASSERT_EQ(lines.size(), 34u) << name;
+        EXPECT_EQ(lines.back().rfind("GMEAN,", 0), 0u) << name;
+    }
+    // Fig. 18's improvements are printed to 3 decimals: the synthetic
+    // suite saves 1 ms of stall in 100 ms, i.e. 1.000%.
+    const auto fig18 = fileLines(dir + "/fig18.csv");
+    EXPECT_EQ(fig18.front(), "benchmark,suite,performance improvement");
+    EXPECT_EQ(fig18.back(), "GMEAN,,1.000%");
+    EXPECT_EQ(fileLines(dir + "/fig17.csv").back(), "GMEAN,,12.5%");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFigures, GridsThatMixSummaryGroupsAreRejected)
+{
+    EXPECT_NO_THROW(checkFiguresGrid(predefinedGridByName("figures")));
+
+    // One grid per axis the figure tables cannot separate; several
+    // configs are fine, because the tables are grouped by config.
+    std::map<std::string, SweepGrid> mixed;
+    mixed["counterBits"].counterBits = {1, 3};
+    mixed["policies"].policies = {"smart", "rasonly"};
+    mixed["retentionMs"].retentionMs = {32, 64};
+    mixed["parallelism"].parallelism = {"refpb", "darp"};
+    for (auto &[axis, grid] : mixed) {
+        grid.configs = {"2gb", "3d64"};
+        try {
+            checkFiguresGrid(grid);
+            ADD_FAILURE() << "a grid mixing " << axis << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + axis + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+        grid.counterBits = {3};
+        grid.policies = {"smart"};
+        grid.retentionMs = {0};
+        grid.parallelism = {"refpb"};
+        EXPECT_NO_THROW(checkFiguresGrid(grid));
+    }
 }

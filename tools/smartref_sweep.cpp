@@ -190,6 +190,8 @@ main(int argc, char **argv)
     }
 
     const SweepGrid grid = resolveGrid(args);
+    if (args.has("figures"))
+        checkFiguresGrid(grid);
     const ExperimentOptions eo = args.experimentOptions();
     setLogLevel(eo.logLevel);
 
